@@ -35,6 +35,8 @@ const QD001_SERVING: &[&str] = &[
     "crates/core/src/persist.rs",
     "crates/core/src/inputs.rs",
     "crates/core/src/identify.rs",
+    // Query-local inference indexes activations by query vertex ids.
+    "crates/core/src/models/local.rs",
     // The serving engine runs indefinitely against untrusted callers:
     // every lib file of qdgnn-serve is a serving path.
     "crates/serve/src/lib.rs",

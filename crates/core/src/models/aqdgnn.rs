@@ -286,7 +286,7 @@ impl CsModel for AqdGnn {
         let g_vars = self.graph_branch(&mut ctx, inputs);
         let layers =
             g_vars.iter().map(|&v| std::sync::Arc::clone(ctx.tape.value(v))).collect();
-        Some(super::GraphCache { layers })
+        Some(super::GraphCache::new(self, inputs, layers))
     }
 
     fn forward_cached(

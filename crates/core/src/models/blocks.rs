@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use rand::Rng;
 
-use qdgnn_nn::{BatchNorm1d, BnStats, Dropout, Mode};
-use qdgnn_tensor::{Csr, ParamId, ParamStore, Tape, Var};
+use qdgnn_nn::{BatchNorm1d, BnEvalRows, BnStats, Dropout, Mode};
+use qdgnn_tensor::{ops, Csr, ParamId, ParamStore, Tape, Var};
 
 /// Mutable state threaded through one forward pass.
 pub(crate) struct ForwardCtx<'a, R: Rng> {
@@ -172,6 +172,53 @@ impl EncoderLayer {
         }
         out
     }
+
+    /// Eval-mode `(agg_in · W_agg) + b` for one row, written into the
+    /// zeroed `out` — the row of `biased` in [`EncoderLayer::forward`].
+    pub fn eval_transform_row(&self, store: &ParamStore, agg_in: &[f32], out: &mut [f32]) {
+        store.value(self.w_agg).row_matmul_into(agg_in, out);
+        for (o, &b) in out.iter_mut().zip(store.value(self.b_agg).as_slice()) {
+            *o += b;
+        }
+    }
+
+    /// Eval-mode remainder of [`EncoderLayer::forward`] for one row:
+    /// `self_in · W_self + aggregated`, then the post pipeline (`bns` is
+    /// the model's BN table in eval-row form; dropout is the identity).
+    /// `out` must be zeroed.
+    pub fn eval_combine_row(
+        &self,
+        store: &ParamStore,
+        bns: &[BnEvalRows],
+        self_in: &[f32],
+        aggregated: &[f32],
+        out: &mut [f32],
+    ) {
+        match self.w_self {
+            Some(ws) => {
+                store.value(ws).row_matmul_into(self_in, out);
+                for (o, &a) in out.iter_mut().zip(aggregated) {
+                    *o += a;
+                }
+            }
+            None => out.copy_from_slice(aggregated),
+        }
+        match self.post {
+            Post::Full(bn_idx) => {
+                bns[bn_idx].apply(out);
+                relu_row(out);
+            }
+            Post::Relu => relu_row(out),
+            Post::None => {}
+        }
+    }
+}
+
+/// The tape's ReLU, in place on one row.
+fn relu_row(row: &mut [f32]) {
+    for x in row {
+        *x = x.max(0.0);
+    }
 }
 
 /// The Feature Fusion operator (Eq. 6 / Eq. 11) with the configured
@@ -229,6 +276,39 @@ impl FusionOp {
                     acc = ctx.tape.add(acc, g);
                 }
                 acc
+            }
+        }
+    }
+
+    /// Eval-mode fusion of one row's branch outputs into the zeroed `out`
+    /// (the fused width) — the row of [`FusionOp::apply`]'s result.
+    pub fn eval_row(&self, store: &ParamStore, parts: &[&[f32]], out: &mut [f32]) {
+        match self.kind {
+            crate::config::FusionAgg::Concat => {
+                let mut rest = out;
+                for p in parts {
+                    let (head, tail) = rest.split_at_mut(p.len());
+                    head.copy_from_slice(p);
+                    rest = tail;
+                }
+            }
+            crate::config::FusionAgg::Sum => {
+                for (i, p) in parts.iter().enumerate() {
+                    for (o, &x) in out.iter_mut().zip(*p) {
+                        *o = if i == 0 { x } else { *o + x };
+                    }
+                }
+            }
+            crate::config::FusionAgg::Attention => {
+                debug_assert_eq!(parts.len(), self.gates.len(), "one gate per branch");
+                for (i, (p, &(w, b))) in parts.iter().zip(&self.gates).enumerate() {
+                    let mut logit = [0.0f32];
+                    store.value(w).row_matmul_into(p, &mut logit);
+                    let gate = ops::sigmoid(logit[0] + store.value(b).as_slice()[0]);
+                    for (o, &x) in out.iter_mut().zip(*p) {
+                        *o = if i == 0 { x * gate } else { *o + x * gate };
+                    }
+                }
             }
         }
     }

@@ -2,12 +2,15 @@
 
 pub(crate) mod blocks;
 mod aqdgnn;
+mod local;
 mod qdgnn;
 mod simple;
 
 pub use aqdgnn::AqdGnn;
 pub use qdgnn::QdGnn;
 pub use simple::SimpleQdGnn;
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,18 +21,83 @@ use qdgnn_tensor::{Dense, ParamId, ParamStore, Tape, Var};
 use crate::config::ModelConfig;
 use crate::inputs::{GraphTensors, QueryVectors};
 
-/// Query-independent Graph Encoder activations (`h_G^(1..k)` in eval
-/// mode), computed once per graph and shared across online queries.
+/// Query-independent activations computed once per graph and weights and
+/// shared across online queries.
 ///
 /// The Graph Encoder never consumes query information (Algorithm 2/3
 /// keep it feeding on its own output), so at serving time its k forward
-/// layers are identical for every query — caching them turns the online
-/// stage into query-branch-only work. Build with
+/// layers (`h_G^(1..k)` in eval mode) are identical for every query —
+/// caching them turns the online stage into query-branch-only work.
+/// QD-GNN's cache also holds its query branch evaluated for the null
+/// query (zero one-hot), from which [`CsModel::local_scores`] scores a
+/// query by recomputing only the rows within `k` hops of it. Build with
 /// [`CsModel::build_graph_cache`], use with [`predict_scores_cached`].
+///
+/// A cache is only valid for the weights and graph it was built from;
+/// it records their fingerprint, and cached scoring checks it in debug
+/// and `sanitize` builds ([`GraphCache::check`]).
 #[derive(Clone)]
 pub struct GraphCache {
     /// Post-processed Graph Encoder output per layer (n × hidden each).
-    pub layers: Vec<std::sync::Arc<Dense>>,
+    pub layers: Vec<Arc<Dense>>,
+    /// QD-GNN's null-query activations.
+    null: Option<Arc<local::NullQuery>>,
+    /// Vertex count of the graph the cache was built on.
+    n: usize,
+    /// [`weights_fingerprint`] of the model the cache was built from.
+    fingerprint: u64,
+}
+
+impl GraphCache {
+    /// A cache of `model`'s Graph Encoder `layers` on `inputs`' graph.
+    pub(crate) fn new(model: &dyn CsModel, inputs: &GraphTensors, layers: Vec<Arc<Dense>>) -> Self {
+        GraphCache { layers, null: None, n: inputs.n, fingerprint: weights_fingerprint(model) }
+    }
+
+    /// Whether the cache was built from `model`'s current weights (same
+    /// layer count, parameters and BN running statistics) on a graph of
+    /// `inputs`' size. The error names the first mismatch.
+    pub fn check(&self, model: &dyn CsModel, inputs: &GraphTensors) -> Result<(), String> {
+        if self.n != inputs.n {
+            return Err(format!("built for n = {}, used with n = {}", self.n, inputs.n));
+        }
+        if self.layers.len() != model.config().layers {
+            return Err(format!(
+                "built with {} layers, model has {}",
+                self.layers.len(),
+                model.config().layers
+            ));
+        }
+        let now = weights_fingerprint(model);
+        if self.fingerprint != now {
+            return Err(format!(
+                "built from weights {:016x}, model now has {now:016x}",
+                self.fingerprint
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// FNV-1a fingerprint (the run manifest's config hash) of a model's
+/// parameters and batch-norm running statistics, shapes included.
+fn weights_fingerprint(model: &dyn CsModel) -> u64 {
+    let mut h = qdgnn_obs::runs::Fnv1a::default();
+    let mut put = |m: &Dense| {
+        h.write(&(m.rows() as u64).to_le_bytes());
+        h.write(&(m.cols() as u64).to_le_bytes());
+        for v in m.as_slice() {
+            h.write(&v.to_bits().to_le_bytes());
+        }
+    };
+    for (_, _, value) in model.store().iter() {
+        put(value);
+    }
+    for bn in model.bns() {
+        put(bn.running_mean());
+        put(bn.running_var());
+    }
+    h.finish()
 }
 
 /// Output of one model forward pass.
@@ -127,6 +195,21 @@ pub trait CsModel: Send + Sync {
         rng: &mut StdRng,
     ) -> ForwardResult {
         self.forward(tape, inputs, query, Mode::Eval, rng)
+    }
+
+    /// Exact query-local eval scores from a cache holding the model's
+    /// null-query activations: only the rows the query's one-hot can
+    /// reach are recomputed, the rest are read from the cache.
+    /// Bit-identical to [`predict_scores`]. `None` when the model (or
+    /// this cache) has no local path; [`predict_scores_cached`] then falls
+    /// back to [`CsModel::forward_cached`].
+    fn local_scores(
+        &self,
+        _inputs: &GraphTensors,
+        _cache: &GraphCache,
+        _query: &QueryVectors,
+    ) -> Option<Vec<f32>> {
+        None
     }
 
     /// Records one eval-mode forward pass over a whole [`QueryBatch`] —
@@ -232,6 +315,15 @@ impl CsModel for Box<dyn CsModel> {
         (**self).forward_cached(tape, inputs, cache, query, rng)
     }
 
+    fn local_scores(
+        &self,
+        inputs: &GraphTensors,
+        cache: &GraphCache,
+        query: &QueryVectors,
+    ) -> Option<Vec<f32>> {
+        (**self).local_scores(inputs, cache, query)
+    }
+
     fn forward_batched_eval(
         &self,
         tape: &mut Tape,
@@ -257,13 +349,24 @@ pub fn predict_scores(model: &dyn CsModel, inputs: &GraphTensors, query: &QueryV
 }
 
 /// Like [`predict_scores`], but reuses a precomputed [`GraphCache`]:
-/// only the query-dependent branches are evaluated per query.
+/// only the query-dependent branches are evaluated per query, and for
+/// QD-GNN only the rows within `k` hops of the query
+/// ([`CsModel::local_scores`]). Bit-identical to [`predict_scores`].
+///
+/// # Panics
+/// Panics if `cache` has a different layer count than `model`; debug and
+/// `sanitize` builds also panic if it was built from other weights or
+/// for a graph of another size ([`GraphCache::check`]).
 pub fn predict_scores_cached(
     model: &dyn CsModel,
     inputs: &GraphTensors,
     cache: &GraphCache,
     query: &QueryVectors,
 ) -> Vec<f32> {
+    assert_cache_fits(model, inputs, cache);
+    if let Some(scores) = model.local_scores(inputs, cache, query) {
+        return scores;
+    }
     let mut tape = Tape::new();
     let mut rng = StdRng::seed_from_u64(0);
     let result = model.forward_cached(&mut tape, inputs, cache, query, &mut rng);
@@ -271,17 +374,30 @@ pub fn predict_scores_cached(
     tape.value(scores).as_slice().to_vec()
 }
 
+/// The stale-cache guard of cached scoring: the layer count in every
+/// build, the full [`GraphCache::check`] in debug and `sanitize` builds.
+fn assert_cache_fits(model: &dyn CsModel, inputs: &GraphTensors, cache: &GraphCache) {
+    assert_eq!(cache.layers.len(), model.config().layers, "cache layer-count mismatch");
+    if cfg!(any(debug_assertions, feature = "sanitize")) {
+        assert_eq!(cache.check(model, inputs), Ok(()), "stale GraphCache");
+    }
+}
+
 /// Batched inference: scores `K` stacked queries in one eval-mode
 /// forward pass and splits the result back into per-query score vectors
 /// (batch order). Bit-identical to calling [`predict_scores`] /
 /// [`predict_scores_cached`] per query; models without a batched path
-/// fall back to exactly that.
+/// (QD-GNN, whose cached queries each run one local pass) fall back to
+/// exactly that. Panics on a stale `cache` like [`predict_scores_cached`].
 pub fn predict_scores_batch(
     model: &dyn CsModel,
     inputs: &GraphTensors,
     cache: Option<&GraphCache>,
     batch: &crate::inputs::QueryBatch,
 ) -> Vec<Vec<f32>> {
+    if let Some(c) = cache {
+        assert_cache_fits(model, inputs, c);
+    }
     // Batched buffers are K× the single-query sizes; with default malloc
     // tunables they round-trip through the kernel every batch (mmap/trim)
     // and the page faults dominate. Idempotent, one-time tuning.
@@ -315,6 +431,14 @@ pub(crate) fn output_head(
     let w = store.xavier(format!("{name}.out.weight"), in_dim, 1, rng);
     let b = store.zeros(format!("{name}.out.bias"), 1, 1);
     (w, b)
+}
+
+/// The output head's logit for one fused row (eval mode), with the bits
+/// of the matching row of [`apply_output_head`].
+pub(crate) fn output_head_row(store: &ParamStore, head: (ParamId, ParamId), fused: &[f32]) -> f32 {
+    let mut logit = [0.0f32];
+    store.value(head.0).row_matmul_into(fused, &mut logit);
+    logit[0] + store.value(head.1).as_slice()[0]
 }
 
 /// Applies the output head inside a forward pass.

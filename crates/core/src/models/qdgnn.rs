@@ -11,14 +11,17 @@
 //!   final fused features feed a 1-unit output head producing per-vertex
 //!   logits.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qdgnn_nn::{BatchNorm1d, Dropout, Mode};
-use qdgnn_tensor::{ParamId, ParamStore, Tape, Var};
+use qdgnn_tensor::{Dense, ParamId, ParamStore, Tape, Var};
 
 use super::blocks::{EncoderLayer, FeatureInput, ForwardCtx, FusionOp, Post};
-use super::{apply_output_head, output_head, CsModel, ForwardResult};
+use super::local::QueryBranch;
+use super::{apply_output_head, output_head, CsModel, ForwardResult, GraphCache};
 use crate::config::ModelConfig;
 use crate::inputs::{GraphTensors, QueryVectors};
 
@@ -115,11 +118,24 @@ impl QdGnn {
         out
     }
 
-    /// Runs the query-dependent part given the (possibly batch-stacked)
-    /// query one-hot `qv` and per-layer Graph Encoder outputs (freshly
-    /// computed, cached, or cache-tiled for a batch).
-    // Several parallel arrays (layers, fusions, cached g) are indexed by
-    // the same layer counter; an iterator rewrite would obscure that.
+    /// The query branch and head in row-evaluable form, for exact
+    /// query-local inference.
+    pub(super) fn branch(&self) -> QueryBranch<'_> {
+        QueryBranch {
+            store: &self.store,
+            layers: &self.q_layers,
+            fusions: &self.fusions,
+            head: self.head,
+            feature_fusion: self.config.feature_fusion,
+            hidden: self.config.hidden,
+            fused: self.config.fused_width(2),
+        }
+    }
+
+    /// Runs the query-dependent part on the tape given the query one-hot
+    /// `qv` and the per-layer Graph Encoder outputs.
+    // Several parallel arrays (layers, fusions, g) are indexed by the same
+    // layer counter; an iterator rewrite would obscure that.
     #[allow(clippy::needless_range_loop)]
     fn query_branch_and_head<R: rand::Rng>(
         &self,
@@ -199,7 +215,10 @@ impl CsModel for QdGnn {
         ForwardResult { logits, leaves: ctx.leaves, bn_stats: ctx.stats }
     }
 
-    fn build_graph_cache(&self, inputs: &GraphTensors) -> Option<super::GraphCache> {
+    /// The Graph Encoder layers plus the query branch's null-query
+    /// activations, so [`CsModel::local_scores`] can score a query by
+    /// recomputing only its neighbourhood.
+    fn build_graph_cache(&self, inputs: &GraphTensors) -> Option<GraphCache> {
         let mut tape = Tape::new();
         let mut rng = StdRng::seed_from_u64(0);
         let mut ctx = ForwardCtx::new(
@@ -211,72 +230,26 @@ impl CsModel for QdGnn {
             &mut rng,
         );
         let g_vars = self.graph_branch(&mut ctx, inputs);
-        let layers =
-            g_vars.iter().map(|&v| std::sync::Arc::clone(ctx.tape.value(v))).collect();
-        Some(super::GraphCache { layers })
+        let layers: Vec<Arc<Dense>> =
+            g_vars.iter().map(|&v| Arc::clone(ctx.tape.value(v))).collect();
+        let bns = self.bns.iter().map(|bn| bn.eval_rows(&self.store)).collect();
+        let null = self.branch().full(inputs, &layers, bns, &Dense::zeros(inputs.n, 1));
+        let mut cache = GraphCache::new(self, inputs, layers);
+        cache.null = Some(Arc::new(null));
+        Some(cache)
     }
 
-    fn forward_cached(
+    fn local_scores(
         &self,
-        tape: &mut Tape,
         inputs: &GraphTensors,
-        cache: &super::GraphCache,
+        cache: &GraphCache,
         query: &QueryVectors,
-        rng: &mut StdRng,
-    ) -> ForwardResult {
-        assert_eq!(cache.layers.len(), self.config.layers, "cache layer-count mismatch");
-        let mut ctx = ForwardCtx::new(
-            tape,
-            &self.store,
-            &self.bns,
-            Mode::Eval,
-            Dropout::new(self.config.dropout),
-            rng,
-        );
-        let g_vars: Vec<Var> = cache
-            .layers
-            .iter()
-            .map(|layer| ctx.tape.leaf(std::sync::Arc::clone(layer)))
-            .collect();
-        let qv = ctx.tape.constant(query.vertex_onehot.clone());
-        let logits = self.query_branch_and_head(&mut ctx, inputs, qv, &g_vars);
-        ForwardResult { logits, leaves: ctx.leaves, bn_stats: ctx.stats }
-    }
-
-    fn forward_batched_eval(
-        &self,
-        tape: &mut Tape,
-        inputs: &GraphTensors,
-        cache: Option<&super::GraphCache>,
-        batch: &crate::inputs::QueryBatch,
-    ) -> Option<Var> {
-        let k = batch.len();
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = ForwardCtx::new(
-            tape,
-            &self.store,
-            &self.bns,
-            Mode::Eval,
-            Dropout::new(self.config.dropout),
-            &mut rng,
-        );
-        // Graph branch once at n rows (cached or fresh), then tiled K×
-        // so every query in the batch fuses against its own copy.
-        let g_base: Vec<std::sync::Arc<qdgnn_tensor::Dense>> = match cache {
-            Some(c) => {
-                assert_eq!(c.layers.len(), self.config.layers, "cache layer-count mismatch");
-                c.layers.iter().map(std::sync::Arc::clone).collect()
-            }
-            None => {
-                let g_vars = self.graph_branch(&mut ctx, inputs);
-                g_vars.iter().map(|&v| std::sync::Arc::clone(ctx.tape.value(v))).collect()
-            }
-        };
-        let g_tiled: Vec<Var> =
-            g_base.iter().map(|l| ctx.tape.constant(l.tile_rows(k))).collect();
-        let qv = ctx.tape.constant(batch.vertex_onehot.clone());
-        ctx.blocks = k;
-        Some(self.query_branch_and_head(&mut ctx, inputs, qv, &g_tiled))
+    ) -> Option<Vec<f32>> {
+        let null = cache.null.as_deref()?;
+        if query.vertex_onehot.shape() != (inputs.n, 1) {
+            return None;
+        }
+        Some(self.branch().local(inputs, &cache.layers, null, &query.vertex_onehot))
     }
 }
 

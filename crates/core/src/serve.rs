@@ -3,12 +3,16 @@
 //! query-independent Graph Encoder cache.
 //!
 //! This is the deployment shape the paper's framework implies (§4.3):
-//! training happened offline, and each arriving query costs one
-//! query-branch inference plus a constrained BFS. Queries can be served
-//! one at a time ([`OnlineStage::try_query`]) or in batches
-//! ([`OnlineStage::try_query_batch`]) — the batched path stacks every
-//! valid query into a single forward pass (one tape op per layer instead
-//! of one per query) and is bit-identical to the sequential path.
+//! training happened offline, and each arriving query costs its
+//! query-dependent inference plus a constrained BFS. For QD-GNN that
+//! inference is query-local: only the rows within `k` hops of the query
+//! are recomputed, the rest come from the cache's null-query activations
+//! (`CsModel::local_scores`). Queries can be served one at a time
+//! ([`OnlineStage::try_query`]) or in batches
+//! ([`OnlineStage::try_query_batch`]). A batch stacks every valid query
+//! into a single forward pass for models with a stacked path (AQD-GNN,
+//! Simple QD-GNN) and runs one local pass per query for QD-GNN. Either
+//! way the result is bit-identical to the sequential path.
 
 use std::sync::Arc;
 
@@ -29,7 +33,7 @@ use crate::models::{
 /// fake-clock tests can pin the attribution exactly). Unlike the span
 /// instrumentation, these timings are recorded in every build.
 pub struct BatchTiming {
-    /// Microseconds the whole stacked forward pass took: validation,
+    /// Microseconds the whole batched forward pass took: validation,
     /// query encoding, stacking and batched scoring for every query in
     /// the batch.
     pub forward_us: u64,
@@ -171,7 +175,7 @@ impl<'a> OnlineStage<'a> {
         })
     }
 
-    /// Scores a slice of queries in one stacked forward pass, with
+    /// Scores a slice of queries in one batched forward pass, with
     /// per-query error isolation: a malformed query yields its own `Err`
     /// without affecting the rest of the batch. Results are returned in
     /// input order and are bit-identical to calling
@@ -246,7 +250,7 @@ impl<'a> OnlineStage<'a> {
         Ok(self.identify(query, &scores))
     }
 
-    /// Batched variant of [`OnlineStage::try_query`]: one stacked forward
+    /// Batched variant of [`OnlineStage::try_query`]: one batched forward
     /// pass for every valid query, then a per-query constrained BFS.
     /// Per-query error isolation and input-order results, like
     /// [`OnlineStage::try_scores_batch`].
@@ -255,7 +259,7 @@ impl<'a> OnlineStage<'a> {
     }
 
     /// [`OnlineStage::try_query_batch`] plus an exact phase breakdown:
-    /// how long the stacked forward pass took and how long each query's
+    /// how long the batched forward pass took and how long each query's
     /// BFS took, both read from `clock`. The serving engine passes its
     /// own injected clock here so per-request attribution sums exactly
     /// even under a fake clock; plain callers use

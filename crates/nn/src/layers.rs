@@ -85,6 +85,36 @@ pub struct BnStats {
     pub var: Dense,
 }
 
+/// Eval-mode [`BatchNorm1d`] applied one row at a time (see
+/// [`BatchNorm1d::eval_rows`]).
+#[derive(Clone, Debug)]
+pub struct BnEvalRows {
+    neg_mean: Dense,
+    inv_std: Dense,
+    gamma: Arc<Dense>,
+    beta: Arc<Dense>,
+}
+
+impl BnEvalRows {
+    /// Normalizes `row` in place. Each step rounds like the tape's eval
+    /// chain (`add_row(−μ)`, `mul_row(1/σ)`, `mul_row(γ)`, `add_row(β)`).
+    pub fn apply(&self, row: &mut [f32]) {
+        let consts = self
+            .neg_mean
+            .as_slice()
+            .iter()
+            .zip(self.inv_std.as_slice())
+            .zip(self.gamma.as_slice())
+            .zip(self.beta.as_slice());
+        for (x, (((&m, &s), &g), &b)) in row.iter_mut().zip(consts) {
+            let xc = *x + m;
+            let xhat = xc * s;
+            let scaled = xhat * g;
+            *x = scaled + b;
+        }
+    }
+}
+
 /// Batch normalization over the row (vertex) dimension.
 ///
 /// The paper applies BN inside every layer (Eq. 1). Features here are
@@ -157,15 +187,36 @@ impl BatchNorm1d {
                 (y, leaves, Some(stats))
             }
             Mode::Eval => {
-                let neg_mu = tape.constant(self.running_mean.scaled(-1.0));
-                let istd =
-                    tape.constant(self.running_var.map(|v| 1.0 / (v + self.eps).sqrt()));
+                let (neg_mu, istd) = self.eval_shift_scale();
+                let neg_mu = tape.constant(neg_mu);
+                let istd = tape.constant(istd);
                 let xc = tape.add_row(x, neg_mu);
                 let xhat = tape.mul_row(xc, istd);
                 let scaled = tape.mul_row(xhat, g);
                 let y = tape.add_row(scaled, b);
                 (y, leaves, None)
             }
+        }
+    }
+
+    /// The eval-mode constants `(−running_mean, 1/√(running_var + ε))`,
+    /// shared by [`BatchNorm1d::forward`] in [`Mode::Eval`] and
+    /// [`BatchNorm1d::eval_rows`] so both normalize with the same bits.
+    fn eval_shift_scale(&self) -> (Dense, Dense) {
+        (self.running_mean.scaled(-1.0), self.running_var.map(|v| 1.0 / (v + self.eps).sqrt()))
+    }
+
+    /// Eval-mode normalization as a per-row function: the constants of
+    /// [`BatchNorm1d::forward`] in [`Mode::Eval`], snapshotted together
+    /// with γ and β. Applying it to a row yields exactly the bits the
+    /// tape produces for that row.
+    pub fn eval_rows(&self, store: &ParamStore) -> BnEvalRows {
+        let (neg_mean, inv_std) = self.eval_shift_scale();
+        BnEvalRows {
+            neg_mean,
+            inv_std,
+            gamma: Arc::clone(store.value(self.gamma)),
+            beta: Arc::clone(store.value(self.beta)),
         }
     }
 
@@ -278,6 +329,27 @@ mod tests {
         assert!(stats.is_none());
         // (4 − 2) / sqrt(4 + eps) ≈ 1.
         assert!((tape.value(y).get(0, 0) - 1.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn batchnorm_eval_rows_match_tape_bitwise() {
+        let mut store = ParamStore::new();
+        let mut bn = BatchNorm1d::new(&mut store, "bn", 3);
+        bn.set_running(Dense::row_vector(&[0.3, -1.7, 2.1]), Dense::row_vector(&[0.7, 3.3, 0.01]));
+        *store.value_mut(bn.gamma) = Dense::row_vector(&[1.3, -0.4, 0.9]);
+        *store.value_mut(bn.beta) = Dense::row_vector(&[0.1, 0.2, -0.3]);
+        let x = Dense::from_rows(&[&[1.0, -2.5, 0.333], &[-0.1, 7.0, 1e-3]]);
+        let mut tape = Tape::new();
+        let xv = tape.constant(x.clone());
+        let (y, _, _) = bn.forward(&mut tape, &store, xv, Mode::Eval);
+        let rows = bn.eval_rows(&store);
+        for r in 0..x.rows() {
+            let mut row = x.row(r).to_vec();
+            rows.apply(&mut row);
+            let want: Vec<u32> = tape.value(y).row(r).iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "row {r}");
+        }
     }
 
     #[test]

@@ -10,5 +10,5 @@
 pub mod layers;
 pub mod loss;
 
-pub use layers::{BatchNorm1d, BnStats, Dropout, Linear, Mode};
+pub use layers::{BatchNorm1d, BnEvalRows, BnStats, Dropout, Linear, Mode};
 pub use loss::{bce_loss, positive_class_weights};

@@ -34,6 +34,7 @@ pub const METRIC_NAMES: &[&str] = &[
     "serve.flush",
     "serve.forward",
     "serve.forward_batch",
+    "serve.local_rows",
     "serve.queries",
     "serve.query",
     "serve.query_batch",

@@ -54,16 +54,39 @@ use crate::{clock, json};
 /// How many recent journal lines / events the flight recorder retains.
 pub const FLIGHT_CAPACITY: usize = 256;
 
+/// Incremental 64-bit FNV-1a: the hash behind [`config_hash`], also used
+/// to fingerprint model weights. Stable across runs and platforms.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Folds `bytes` into the hash.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
 /// FNV-1a hash of a configuration's textual rendering, hex-encoded —
 /// the manifest's `config_hash`. Stable across runs and platforms so
 /// "same config?" is a string comparison.
 pub fn config_hash(text: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    let mut h = Fnv1a::default();
+    h.write(text.as_bytes());
+    format!("{:016x}", h.finish())
 }
 
 /// A run's identity card, persisted as `manifest.json`.
@@ -621,6 +644,9 @@ mod tests {
         assert_eq!(config_hash("abc"), config_hash("abc"));
         assert_ne!(config_hash("abc"), config_hash("abd"));
         assert_eq!(config_hash("").len(), 16);
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(config_hash(""), "cbf29ce484222325");
+        assert_eq!(config_hash("a"), "af63dc4c8601ec8c");
     }
 
     #[test]

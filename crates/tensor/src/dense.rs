@@ -237,6 +237,38 @@ impl Dense {
         out
     }
 
+    /// Accumulates one row of a product into `out_row`:
+    /// `out_row += a_row · self`, skipping exact-zero entries of `a_row`.
+    ///
+    /// This is the per-row kernel behind [`Dense::matmul`], serial and
+    /// threaded alike, so a zeroed `out_row` receives exactly the bits of
+    /// the matching row of `A · self`. Row-subset evaluators call it to
+    /// recompute single rows bit-identically.
+    ///
+    /// # Panics
+    /// Panics if `a_row.len() != self.rows()` or
+    /// `out_row.len() != self.cols()`.
+    #[inline]
+    pub fn row_matmul_into(&self, a_row: &[f32], out_row: &mut [f32]) {
+        assert!(
+            a_row.len() == self.rows && out_row.len() == self.cols,
+            "row_matmul_into shape mismatch: 1x{} * {}x{} into 1x{}",
+            a_row.len(),
+            self.rows,
+            self.cols,
+            out_row.len()
+        );
+        for (k, &av) in a_row.iter().enumerate() {
+            // qdgnn-analyze: allow(QD002, reason = "exact-zero sparsity skip: multiplying by bit-exact 0.0 contributes nothing; skip is an optimization")
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &bv) in out_row.iter_mut().zip(self.row(k)) {
+                *o += av * bv;
+            }
+        }
+    }
+
     /// `selfᵀ * other` without materializing the transpose.
     ///
     /// Used by backward passes (`dW = Xᵀ · dY`).
@@ -491,18 +523,7 @@ impl fmt::Debug for Dense {
 fn matmul_rows(a: &Dense, b: &Dense, out: &mut [f32], row_start: usize, row_end: usize) {
     let n = b.cols;
     for r in row_start..row_end {
-        let a_row = a.row(r);
-        let out_row = &mut out[r * n..(r + 1) * n];
-        for (k, &av) in a_row.iter().enumerate() {
-            // qdgnn-analyze: allow(QD002, reason = "exact-zero sparsity skip: multiplying by bit-exact 0.0 contributes nothing; skip is an optimization")
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = b.row(k);
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
+        b.row_matmul_into(a.row(r), &mut out[r * n..(r + 1) * n]);
     }
 }
 
@@ -526,19 +547,8 @@ fn matmul_parallel(a: &Dense, b: &Dense, out: &mut Dense) {
                 // with local row indices by shifting the base pointer.
                 let local = chunk;
                 for r in row_start..row_end {
-                    let a_row = a.row(r);
                     let off = (r - row_start) * n;
-                    let out_row = &mut local[off..off + n];
-                    for (k, &av) in a_row.iter().enumerate() {
-                        // qdgnn-analyze: allow(QD002, reason = "exact-zero sparsity skip: multiplying by bit-exact 0.0 contributes nothing; skip is an optimization")
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let b_row = b.row(k);
-                        for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                            *o += av * bv;
-                        }
-                    }
+                    b.row_matmul_into(a.row(r), &mut local[off..off + n]);
                 }
             });
         }
@@ -563,6 +573,18 @@ mod tests {
             }
         }
         assert!(a.tile_rows(1).approx_eq(&a, 0.0));
+    }
+
+    #[test]
+    fn row_matmul_into_reproduces_each_product_row() {
+        let a = Dense::from_rows(&[&[1.0, 0.0, -2.0], &[0.0, 0.0, 0.0], &[0.5, 3.0, 1.0]]);
+        let b = Dense::from_rows(&[&[1.0, 2.0], &[-1.0, 0.25], &[4.0, -3.0]]);
+        let full = a.matmul(&b);
+        for r in 0..a.rows() {
+            let mut row = vec![0.0; 2];
+            b.row_matmul_into(a.row(r), &mut row);
+            assert_eq!(row.as_slice(), full.row(r));
+        }
     }
 
     #[test]

@@ -254,16 +254,33 @@ impl Csr {
     }
 
     fn spmm_rows(&self, d: &Dense, out: &mut Dense, row_start: usize, row_end: usize) {
-        let n = d.cols();
         for r in row_start..row_end {
-            // Split borrows: rows of `out` are disjoint from `d`.
-            let out_row_ptr = r * n;
-            for (c, v) in self.row_iter(r) {
-                let d_row = d.row(c);
-                let out_slice = &mut out.as_mut_slice()[out_row_ptr..out_row_ptr + n];
-                for (o, &dv) in out_slice.iter_mut().zip(d_row) {
-                    *o += v * dv;
-                }
+            self.spmm_row_into(r, |c| d.row(c), out.row_mut(r));
+        }
+    }
+
+    /// Accumulates row `r` of a sparse × dense product into `out_row`:
+    /// `out_row += Σ_c self[r][c] · row_of(c)`, over row `r`'s stored
+    /// entries in column order.
+    ///
+    /// This is the per-row kernel behind [`Csr::spmm`] (serial and
+    /// threaded) and [`Csr::spmm_blocked`], so a zeroed `out_row` receives
+    /// exactly the bits of the matching output row. `row_of` supplies the
+    /// dense operand row by row, which lets row-subset evaluators read
+    /// each row from whichever buffer holds it.
+    ///
+    /// # Panics
+    /// Panics if `r` is out of range.
+    #[inline]
+    pub fn spmm_row_into<'d>(
+        &self,
+        r: usize,
+        row_of: impl Fn(usize) -> &'d [f32],
+        out_row: &mut [f32],
+    ) {
+        for (c, v) in self.row_iter(r) {
+            for (o, &dv) in out_row.iter_mut().zip(row_of(c)) {
+                *o += v * dv;
             }
         }
     }
@@ -285,13 +302,7 @@ impl Csr {
                 scope.spawn(move |_| {
                     for r in row_start..row_end {
                         let off = (r - row_start) * n;
-                        let out_row = &mut chunk[off..off + n];
-                        for (c, v) in self.row_iter(r) {
-                            let d_row = d.row(c);
-                            for (o, &dv) in out_row.iter_mut().zip(d_row) {
-                                *o += v * dv;
-                            }
-                        }
+                        self.spmm_row_into(r, |c| d.row(c), &mut chunk[off..off + n]);
                     }
                 });
             }
@@ -360,13 +371,7 @@ impl Csr {
         let n = d.cols();
         let row_off = block * self.cols;
         for r in 0..self.rows {
-            let out_row = &mut out_block[r * n..(r + 1) * n];
-            for (c, v) in self.row_iter(r) {
-                let d_row = d.row(row_off + c);
-                for (o, &dv) in out_row.iter_mut().zip(d_row) {
-                    *o += v * dv;
-                }
-            }
+            self.spmm_row_into(r, |c| d.row(row_off + c), &mut out_block[r * n..(r + 1) * n]);
         }
     }
 
@@ -481,6 +486,18 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn spmm_row_into_reads_rows_through_the_callback() {
+        let m = sample();
+        let d = Dense::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0], &[7.0, 8.0]]);
+        let full = m.spmm(&d);
+        for r in 0..m.rows() {
+            let mut row = vec![0.0; 2];
+            m.spmm_row_into(r, |c| d.row(c), &mut row);
+            assert_eq!(row.as_slice(), full.row(r));
         }
     }
 

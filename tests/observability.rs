@@ -216,3 +216,30 @@ fn serving_records_stage_breakdown() {
     assert_eq!(back.to_json(), line);
     qdgnn_obs::reset();
 }
+
+#[test]
+fn local_inference_records_dirty_rows_per_layer() {
+    if !qdgnn_obs::enabled() {
+        return; // plain build: nothing is recorded, by design
+    }
+    let _l = obs_lock();
+    let (tensors, split) = toy_split();
+    let model = QdGnn::new(ModelConfig::fast(), tensors.d);
+    qdgnn_obs::reset();
+    let stage = OnlineStage::new(&model, &tensors, 0.5);
+    for q in &split.test {
+        stage.try_query(q).expect("test query must serve");
+    }
+    let snap = qdgnn_obs::snapshot();
+    let mut previous_mean = 0.0;
+    for layer in 0..ModelConfig::fast().layers {
+        let key = format!("serve.local_rows{{layer=\"{layer}\"}}");
+        let hist = snap.hist(&key).unwrap_or_else(|| panic!("{key} missing"));
+        assert_eq!(hist.count, split.test.len() as u64, "one sample per query and layer");
+        let mean = hist.sum / hist.count as f64;
+        assert!(mean >= previous_mean, "dirty sets only grow with depth");
+        assert!(mean <= tensors.n as f64);
+        previous_mean = mean;
+    }
+    qdgnn_obs::reset();
+}
