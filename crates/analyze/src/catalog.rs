@@ -230,7 +230,7 @@ pub fn rule(id: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == id)
 }
 
-/// Serialises the catalog as JSON (hand-rolled; no serde in this crate).
+/// Serialises the catalog as JSON (hand-rolled; no serialization dependency).
 pub fn catalog_json() -> String {
     let mut out = String::from("[\n");
     for (i, r) in RULES.iter().enumerate() {

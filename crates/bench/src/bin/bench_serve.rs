@@ -56,7 +56,7 @@ fn main() -> ExitCode {
 /// on a small dataset subset (default `cornell,texas`) and exit nonzero
 /// if the batched path produced no throughput. The measurement asserts
 /// batched/sequential bit-identity inline before timing, so this also
-/// smoke-tests correctness of the stacked forward pass at bench scale.
+/// smoke-tests correctness of the batched path at bench scale.
 fn throughput_main(args: &[String]) -> ExitCode {
     let mut names = vec!["cornell".to_string(), "texas".to_string()];
     let mut metrics_out = None;

@@ -1,8 +1,8 @@
 //! The checked-in benchmark report schema (`BENCH_serve.json`,
 //! `BENCH_train.json`).
 //!
-//! Both reports are small hand-rolled JSON documents (this workspace has
-//! no serde): the serve report carries per-dataset latency histograms
+//! Both reports are small hand-rolled JSON documents (the workspace has
+//! no serialization dependency): the serve report carries per-dataset latency histograms
 //! with the encode / forward / BFS stage breakdown, the train report
 //! carries training throughput and the peak live tensor bytes observed
 //! by the obs memory accounting. `qdgnn-bench compare` parses the

@@ -144,7 +144,7 @@ pub fn pending_serve() -> usize {
     serve_registry().lock().unwrap().len()
 }
 
-/// Serving-path hook: counts one batched forward call and fires (and
+/// Serving-path hook: counts one batch's forward phase and fires (and
 /// consumes) the fault armed for it, if any. Panicking faults unwind out
 /// of the stage into the engine's worker supervision.
 pub(crate) fn serve_forward_hook() {

@@ -130,27 +130,15 @@ impl QueryVectors {
     }
 }
 
-/// `K` encoded queries stacked vertically for one batched forward pass
-/// (the serving engine's unit of work).
-///
-/// Block `i` of [`QueryBatch::vertex_onehot`] (rows `i·n .. (i+1)·n`) is
-/// query `i`'s `v_q` column, and likewise for the attribute one-hots —
-/// the layout `Csr::spmm_blocked` and every row-wise tape op consume
-/// without reshuffling, which is what keeps batched scores bit-identical
-/// to the sequential path.
+/// `K` encoded queries of the same shape (the serving engine's unit of
+/// work). [`crate::models::predict_scores_batch`] scores them one by one.
 #[derive(Clone, Debug)]
 pub struct QueryBatch {
-    /// Stacked `v_q` columns, `K·n × 1`.
-    pub vertex_onehot: Dense,
-    /// Stacked `f_q` columns, `K·d × 1`.
-    pub attr_onehot: Dense,
     queries: Vec<QueryVectors>,
-    n: usize,
-    d: usize,
 }
 
 impl QueryBatch {
-    /// Stacks already-encoded queries into one batch.
+    /// Collects already-encoded queries into one batch.
     ///
     /// Every query must have been encoded against the same graph
     /// dimensions; a mismatch (or an empty slice) surfaces as a typed
@@ -159,34 +147,17 @@ impl QueryBatch {
         let Some(first) = queries.first() else {
             return Err(QdgnnError::invalid("query batch must contain at least one query"));
         };
-        let n = first.vertex_onehot.rows();
-        let d = first.attr_onehot.rows();
-        let k = queries.len();
-        let mut v = Dense::zeros(n * k, 1);
-        let mut f = Dense::zeros(d * k, 1);
+        let (v, f) = (first.vertex_onehot.shape(), first.attr_onehot.shape());
         for (i, q) in queries.iter().enumerate() {
-            if q.vertex_onehot.shape() != (n, 1) || q.attr_onehot.shape() != (d, 1) {
+            if q.vertex_onehot.shape() != v || q.attr_onehot.shape() != f {
                 return Err(QdgnnError::invalid(format!(
-                    "query {i} shaped {:?}/{:?} does not match batch dimensions ({n}, 1)/({d}, 1)",
+                    "query {i} shaped {:?}/{:?} does not match batch dimensions {v:?}/{f:?}",
                     q.vertex_onehot.shape(),
                     q.attr_onehot.shape()
                 )));
             }
         }
-        // Shapes validated above, so each query fills exactly one chunk
-        // (chunks_mut needs a positive chunk size; a zero dim has no
-        // data to copy anyway).
-        if n > 0 {
-            for (chunk, q) in v.as_mut_slice().chunks_mut(n).zip(queries) {
-                chunk.copy_from_slice(q.vertex_onehot.as_slice());
-            }
-        }
-        if d > 0 {
-            for (chunk, q) in f.as_mut_slice().chunks_mut(d).zip(queries) {
-                chunk.copy_from_slice(q.attr_onehot.as_slice());
-            }
-        }
-        Ok(QueryBatch { vertex_onehot: v, attr_onehot: f, queries: queries.to_vec(), n, d })
+        Ok(QueryBatch { queries: queries.to_vec() })
     }
 
     /// Number of queries `K` in the batch.
@@ -199,17 +170,7 @@ impl QueryBatch {
         self.queries.is_empty()
     }
 
-    /// Vertex count `n` the queries were encoded against.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Attribute vocabulary size `d` the queries were encoded against.
-    pub fn d(&self) -> usize {
-        self.d
-    }
-
-    /// The stacked queries, in batch order.
+    /// The queries, in batch order.
     pub fn queries(&self) -> &[QueryVectors] {
         &self.queries
     }
@@ -259,17 +220,14 @@ mod tests {
     }
 
     #[test]
-    fn query_batch_stacks_blockwise() {
+    fn query_batch_keeps_queries_in_order() {
         let q0 = QueryVectors::encode(4, 2, &[1], &[0]);
         let q1 = QueryVectors::encode(4, 2, &[0, 3], &[]);
         let b = QueryBatch::try_stack(&[q0.clone(), q1.clone()]).unwrap();
         assert_eq!(b.len(), 2);
-        assert_eq!((b.n(), b.d()), (4, 2));
-        assert_eq!(b.vertex_onehot.shape(), (8, 1));
-        assert_eq!(&b.vertex_onehot.as_slice()[..4], q0.vertex_onehot.as_slice());
-        assert_eq!(&b.vertex_onehot.as_slice()[4..], q1.vertex_onehot.as_slice());
-        assert_eq!(&b.attr_onehot.as_slice()[..2], q0.attr_onehot.as_slice());
-        assert_eq!(&b.attr_onehot.as_slice()[2..], q1.attr_onehot.as_slice());
+        assert_eq!(b.queries()[0].vertex_onehot.as_slice(), q0.vertex_onehot.as_slice());
+        assert_eq!(b.queries()[1].vertex_onehot.as_slice(), q1.vertex_onehot.as_slice());
+        assert_eq!(b.queries()[0].attr_onehot.as_slice(), q0.attr_onehot.as_slice());
     }
 
     #[test]
@@ -277,6 +235,8 @@ mod tests {
         assert!(QueryBatch::try_stack(&[]).is_err());
         let q0 = QueryVectors::encode(4, 2, &[1], &[]);
         let q1 = QueryVectors::encode(5, 2, &[1], &[]);
-        assert!(QueryBatch::try_stack(&[q0, q1]).is_err());
+        assert!(QueryBatch::try_stack(&[q0.clone(), q1]).is_err());
+        let q2 = QueryVectors::encode(4, 3, &[1], &[]);
+        assert!(QueryBatch::try_stack(&[q0, q2]).is_err());
     }
 }

@@ -316,41 +316,6 @@ impl CsModel for AqdGnn {
         let logits = self.query_branches_and_head(&mut ctx, inputs, qv, fq, &g_vars);
         ForwardResult { logits, leaves: ctx.leaves, bn_stats: ctx.stats }
     }
-
-    fn forward_batched_eval(
-        &self,
-        tape: &mut Tape,
-        inputs: &GraphTensors,
-        cache: Option<&super::GraphCache>,
-        batch: &crate::inputs::QueryBatch,
-    ) -> Option<Var> {
-        let k = batch.len();
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = ForwardCtx::new(
-            tape,
-            &self.store,
-            &self.bns,
-            Mode::Eval,
-            Dropout::new(self.config.dropout),
-            &mut rng,
-        );
-        let g_base: Vec<std::sync::Arc<qdgnn_tensor::Dense>> = match cache {
-            Some(c) => {
-                assert_eq!(c.layers.len(), self.config.layers, "cache layer-count mismatch");
-                c.layers.iter().map(std::sync::Arc::clone).collect()
-            }
-            None => {
-                let g_vars = self.graph_branch(&mut ctx, inputs);
-                g_vars.iter().map(|&v| std::sync::Arc::clone(ctx.tape.value(v))).collect()
-            }
-        };
-        let g_tiled: Vec<Var> =
-            g_base.iter().map(|l| ctx.tape.constant(l.tile_rows(k))).collect();
-        let qv = ctx.tape.constant(batch.vertex_onehot.clone());
-        let fq = ctx.tape.constant(batch.attr_onehot.clone());
-        ctx.blocks = k;
-        Some(self.query_branches_and_head(&mut ctx, inputs, qv, fq, &g_tiled))
-    }
 }
 
 #[cfg(test)]

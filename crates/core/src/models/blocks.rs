@@ -22,10 +22,6 @@ pub(crate) struct ForwardCtx<'a, R: Rng> {
     pub leaves: Vec<(Var, ParamId)>,
     /// Train-mode batch-norm statistics, tagged by BN index.
     pub stats: Vec<(usize, BnStats)>,
-    /// Query blocks stacked vertically through the pass (1 = unbatched).
-    /// When > 1, encoder aggregation uses the block-diagonal SpMM so each
-    /// stacked query propagates only over its own copy of the graph.
-    pub blocks: usize,
 }
 
 impl<'a, R: Rng> ForwardCtx<'a, R> {
@@ -46,7 +42,6 @@ impl<'a, R: Rng> ForwardCtx<'a, R> {
             rng,
             leaves: Vec::new(),
             stats: Vec::new(),
-            blocks: 1,
         }
     }
 
@@ -136,11 +131,7 @@ impl EncoderLayer {
         };
         let b = ctx.param(self.b_agg);
         let biased = ctx.tape.add_row(transformed, b);
-        let aggregated = if ctx.blocks > 1 {
-            ctx.tape.spmm_blocked(agg_mat.0, agg_mat.1, biased, ctx.blocks)
-        } else {
-            ctx.tape.spmm(agg_mat.0, agg_mat.1, biased)
-        };
+        let aggregated = ctx.tape.spmm(agg_mat.0, agg_mat.1, biased);
 
         let mut out = match self.w_self {
             Some(ws) => {

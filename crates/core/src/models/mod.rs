@@ -19,7 +19,7 @@ use qdgnn_nn::{BatchNorm1d, BnStats, Mode};
 use qdgnn_tensor::{Dense, ParamId, ParamStore, Tape, Var};
 
 use crate::config::ModelConfig;
-use crate::inputs::{GraphTensors, QueryVectors};
+use crate::inputs::{GraphTensors, QueryBatch, QueryVectors};
 
 /// Query-independent activations computed once per graph and weights and
 /// shared across online queries.
@@ -212,26 +212,6 @@ pub trait CsModel: Send + Sync {
         None
     }
 
-    /// Records one eval-mode forward pass over a whole [`QueryBatch`] —
-    /// `K` queries stacked vertically so each tape op runs once per layer
-    /// instead of once per query. Returns the stacked `K·n × 1` logits,
-    /// bit-identical per row block to `K` sequential [`CsModel::forward`]
-    /// (or `forward_cached`) passes, or `None` when the model has no
-    /// batched path (callers fall back to sequential scoring).
-    ///
-    /// `cache` is optional: with a cache the graph branch is reused, and
-    /// without one it is still computed only once (at `n` rows) before
-    /// tiling, so batching pays off either way.
-    fn forward_batched_eval(
-        &self,
-        _tape: &mut Tape,
-        _inputs: &GraphTensors,
-        _cache: Option<&GraphCache>,
-        _batch: &crate::inputs::QueryBatch,
-    ) -> Option<Var> {
-        None
-    }
-
     /// Folds a batch's BN statistics into the running estimates.
     fn apply_bn_stats(&mut self, stats: &[(usize, BnStats)]) {
         for (idx, s) in stats {
@@ -323,16 +303,6 @@ impl CsModel for Box<dyn CsModel> {
     ) -> Option<Vec<f32>> {
         (**self).local_scores(inputs, cache, query)
     }
-
-    fn forward_batched_eval(
-        &self,
-        tape: &mut Tape,
-        inputs: &GraphTensors,
-        cache: Option<&GraphCache>,
-        batch: &crate::inputs::QueryBatch,
-    ) -> Option<Var> {
-        (**self).forward_batched_eval(tape, inputs, cache, batch)
-    }
 }
 
 /// Runs an inference (eval-mode) forward pass and returns per-vertex
@@ -383,42 +353,31 @@ fn assert_cache_fits(model: &dyn CsModel, inputs: &GraphTensors, cache: &GraphCa
     }
 }
 
-/// Batched inference: scores `K` stacked queries in one eval-mode
-/// forward pass and splits the result back into per-query score vectors
-/// (batch order). Bit-identical to calling [`predict_scores`] /
-/// [`predict_scores_cached`] per query; models without a batched path
-/// (QD-GNN, whose cached queries each run one local pass) fall back to
-/// exactly that. Panics on a stale `cache` like [`predict_scores_cached`].
+/// One query's scores: [`predict_scores_cached`] with a cache,
+/// [`predict_scores`] without. Every serving entry point scores through
+/// here, one query at a time.
+pub(crate) fn predict_scores_with(
+    model: &dyn CsModel,
+    inputs: &GraphTensors,
+    cache: Option<&GraphCache>,
+    query: &QueryVectors,
+) -> Vec<f32> {
+    match cache {
+        Some(c) => predict_scores_cached(model, inputs, c, query),
+        None => predict_scores(model, inputs, query),
+    }
+}
+
+/// Scores every query of a [`QueryBatch`], in batch order, one query at
+/// a time, so each result is exactly the sequential one. Panics on a
+/// stale `cache` like [`predict_scores_cached`].
 pub fn predict_scores_batch(
     model: &dyn CsModel,
     inputs: &GraphTensors,
     cache: Option<&GraphCache>,
-    batch: &crate::inputs::QueryBatch,
+    batch: &QueryBatch,
 ) -> Vec<Vec<f32>> {
-    if let Some(c) = cache {
-        assert_cache_fits(model, inputs, c);
-    }
-    // Batched buffers are K× the single-query sizes; with default malloc
-    // tunables they round-trip through the kernel every batch (mmap/trim)
-    // and the page faults dominate. Idempotent, one-time tuning.
-    qdgnn_tensor::tune_for_batch_serving();
-    let mut tape = Tape::new();
-    match model.forward_batched_eval(&mut tape, inputs, cache, batch) {
-        Some(logits) => {
-            let scores = tape.sigmoid(logits);
-            let flat = tape.value(scores).as_slice();
-            let n = batch.n();
-            flat.chunks(n.max(1)).map(|c| c.to_vec()).collect()
-        }
-        None => batch
-            .queries()
-            .iter()
-            .map(|q| match cache {
-                Some(c) => predict_scores_cached(model, inputs, c, q),
-                None => predict_scores(model, inputs, q),
-            })
-            .collect(),
-    }
+    batch.queries().iter().map(|q| predict_scores_with(model, inputs, cache, q)).collect()
 }
 
 /// Builds the model's scalar output head (fused features → logits).

@@ -59,23 +59,6 @@ impl SimpleQdGnn {
         let head = output_head(&mut store, "simple", h, &mut rng);
         SimpleQdGnn { config, store, bns, layers, head }
     }
-
-    /// The single query-propagation branch plus head, from a (possibly
-    /// batch-stacked) query one-hot already on the tape.
-    fn branch_and_head<R: rand::Rng>(
-        &self,
-        ctx: &mut ForwardCtx<'_, R>,
-        inputs: &GraphTensors,
-        qv: qdgnn_tensor::Var,
-    ) -> qdgnn_tensor::Var {
-        let adj = (&inputs.adj, &inputs.adj_t);
-        let mut h =
-            self.layers[0].forward(ctx, FeatureInput::Dense(qv), FeatureInput::Dense(qv), adj);
-        for layer in &self.layers[1..] {
-            h = layer.forward(ctx, FeatureInput::Dense(h), FeatureInput::Dense(h), adj);
-        }
-        apply_output_head(ctx, self.head, h)
-    }
 }
 
 impl CsModel for SimpleQdGnn {
@@ -120,30 +103,14 @@ impl CsModel for SimpleQdGnn {
             rng,
         );
         let qv = ctx.tape.constant(query.vertex_onehot.clone());
-        let logits = self.branch_and_head(&mut ctx, inputs, qv);
+        let adj = (&inputs.adj, &inputs.adj_t);
+        let mut h =
+            self.layers[0].forward(&mut ctx, FeatureInput::Dense(qv), FeatureInput::Dense(qv), adj);
+        for layer in &self.layers[1..] {
+            h = layer.forward(&mut ctx, FeatureInput::Dense(h), FeatureInput::Dense(h), adj);
+        }
+        let logits = apply_output_head(&mut ctx, self.head, h);
         ForwardResult { logits, leaves: ctx.leaves, bn_stats: ctx.stats }
-    }
-
-    fn forward_batched_eval(
-        &self,
-        tape: &mut Tape,
-        inputs: &GraphTensors,
-        _cache: Option<&super::GraphCache>,
-        batch: &crate::inputs::QueryBatch,
-    ) -> Option<qdgnn_tensor::Var> {
-        // No graph branch to cache: the whole model is the query branch.
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = ForwardCtx::new(
-            tape,
-            &self.store,
-            &self.bns,
-            Mode::Eval,
-            Dropout::new(self.config.dropout),
-            &mut rng,
-        );
-        let qv = ctx.tape.constant(batch.vertex_onehot.clone());
-        ctx.blocks = batch.len();
-        Some(self.branch_and_head(&mut ctx, inputs, qv))
     }
 }
 

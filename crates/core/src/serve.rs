@@ -9,10 +9,9 @@
 //! are recomputed, the rest come from the cache's null-query activations
 //! (`CsModel::local_scores`). Queries can be served one at a time
 //! ([`OnlineStage::try_query`]) or in batches
-//! ([`OnlineStage::try_query_batch`]). A batch stacks every valid query
-//! into a single forward pass for models with a stacked path (AQD-GNN,
-//! Simple QD-GNN) and runs one local pass per query for QD-GNN. Either
-//! way the result is bit-identical to the sequential path.
+//! ([`OnlineStage::try_query_batch`]). A batch validates every query,
+//! then scores each valid one with the same per-query forward pass as
+//! [`OnlineStage::try_scores`], so its results are the sequential ones.
 
 use std::sync::Arc;
 
@@ -22,10 +21,8 @@ use qdgnn_obs::clock::{Clock, MonotonicClock};
 
 use crate::error::QdgnnError;
 use crate::identify::identify_community;
-use crate::inputs::{GraphTensors, QueryBatch, QueryVectors};
-use crate::models::{
-    predict_scores, predict_scores_batch, predict_scores_cached, CsModel, GraphCache,
-};
+use crate::inputs::{GraphTensors, QueryVectors};
+use crate::models::{predict_scores_with, CsModel, GraphCache};
 
 /// Exact per-phase timings for one [`OnlineStage::try_query_batch_timed`]
 /// call, measured against the caller-supplied [`Clock`] so the serving
@@ -33,9 +30,8 @@ use crate::models::{
 /// fake-clock tests can pin the attribution exactly). Unlike the span
 /// instrumentation, these timings are recorded in every build.
 pub struct BatchTiming {
-    /// Microseconds the whole batched forward pass took: validation,
-    /// query encoding, stacking and batched scoring for every query in
-    /// the batch.
+    /// Microseconds the batch's forward phase took: validation, query
+    /// encoding and scoring for every query in the batch.
     pub forward_us: u64,
     /// Per-query microseconds spent in community identification
     /// (constrained BFS plus extraction), in input order. Zero for
@@ -169,62 +165,29 @@ impl<'a> OnlineStage<'a> {
     pub fn try_scores(&self, query: &Query) -> Result<Vec<f32>, QdgnnError> {
         let qv = self.encode_validated(query)?;
         let _s = qdgnn_obs::span!("serve.forward");
-        Ok(match &self.cache {
-            Some(cache) => predict_scores_cached(self.model(), self.tensors(), cache, &qv),
-            None => predict_scores(self.model(), self.tensors(), &qv),
-        })
+        Ok(predict_scores_with(self.model(), self.tensors(), self.cache.as_ref(), &qv))
     }
 
-    /// Scores a slice of queries in one batched forward pass, with
-    /// per-query error isolation: a malformed query yields its own `Err`
-    /// without affecting the rest of the batch. Results are returned in
-    /// input order and are bit-identical to calling
-    /// [`OnlineStage::try_scores`] per query.
+    /// Scores a slice of queries with per-query error isolation: a
+    /// malformed query yields its own `Err` without affecting the rest of
+    /// the batch. Results are returned in input order and are
+    /// bit-identical to calling [`OnlineStage::try_scores`] per query.
     pub fn try_scores_batch(&self, queries: &[Query]) -> Vec<Result<Vec<f32>, QdgnnError>> {
         let _s = qdgnn_obs::span!("serve.forward_batch");
         qdgnn_obs::observe("serve.batch_size", queries.len() as f64);
-        let mut out: Vec<Result<Vec<f32>, QdgnnError>> = Vec::with_capacity(queries.len());
-        let mut valid: Vec<(usize, QueryVectors)> = Vec::with_capacity(queries.len());
-        for (i, q) in queries.iter().enumerate() {
-            match self.encode_validated(q) {
-                Ok(qv) => {
-                    valid.push((i, qv));
-                    // placeholder, overwritten from the batch result below
-                    out.push(Err(QdgnnError::EmptyQuery));
-                }
-                Err(e) => out.push(Err(e)),
-            }
-        }
-        if valid.is_empty() {
-            return out;
-        }
-        let vectors: Vec<QueryVectors> = valid.iter().map(|(_, qv)| qv.clone()).collect();
-        let batch = match QueryBatch::try_stack(&vectors) {
-            Ok(b) => b,
-            Err(e) => {
-                // Stacking only fails on shape mismatches, which encoding
-                // against one graph rules out — but never panic in serving.
-                let msg = e.to_string();
-                for (i, _) in &valid {
-                    if let Some(slot) = out.get_mut(*i) {
-                        *slot = Err(QdgnnError::invalid(msg.clone()));
-                    }
-                }
-                return out;
-            }
-        };
+        let encoded: Vec<_> = queries.iter().map(|q| self.encode_validated(q)).collect();
         // Chaos injection point: fire any armed serve-path fault exactly
-        // where a crashing model forward fails in production — after
-        // validation and stacking, before the batched forward pass.
+        // where a crashing model forward fails in production — once per
+        // batch with a valid query, after validation, before scoring.
         #[cfg(feature = "chaos")]
-        crate::faultless::serve_forward_hook();
-        let scores = predict_scores_batch(self.model(), self.tensors(), self.cache.as_ref(), &batch);
-        for ((i, _), s) in valid.iter().zip(scores) {
-            if let Some(slot) = out.get_mut(*i) {
-                *slot = Ok(s);
-            }
+        if encoded.iter().any(Result::is_ok) {
+            crate::faultless::serve_forward_hook();
         }
-        out
+        let cache = self.cache.as_ref();
+        encoded
+            .into_iter()
+            .map(|qv| qv.map(|qv| predict_scores_with(self.model(), self.tensors(), cache, &qv)))
+            .collect()
     }
 
     /// Full online answer: inference plus constrained BFS (Algorithm 1,
@@ -250,8 +213,8 @@ impl<'a> OnlineStage<'a> {
         Ok(self.identify(query, &scores))
     }
 
-    /// Batched variant of [`OnlineStage::try_query`]: one batched forward
-    /// pass for every valid query, then a per-query constrained BFS.
+    /// Batched variant of [`OnlineStage::try_query`]: the forward pass
+    /// for every valid query, then a per-query constrained BFS.
     /// Per-query error isolation and input-order results, like
     /// [`OnlineStage::try_scores_batch`].
     pub fn try_query_batch(&self, queries: &[Query]) -> Vec<Result<Vec<VertexId>, QdgnnError>> {
@@ -259,7 +222,7 @@ impl<'a> OnlineStage<'a> {
     }
 
     /// [`OnlineStage::try_query_batch`] plus an exact phase breakdown:
-    /// how long the batched forward pass took and how long each query's
+    /// how long the batch's forward phase took and how long each query's
     /// BFS took, both read from `clock`. The serving engine passes its
     /// own injected clock here so per-request attribution sums exactly
     /// even under a fake clock; plain callers use
@@ -318,8 +281,8 @@ impl<'a> OnlineStage<'a> {
         CommunityMetrics::micro(&predicted, &truth)
     }
 
-    /// Batch-chunk size used by [`OnlineStage::evaluate`]: bounds the
-    /// stacked working set while keeping the per-layer amortization.
+    /// Batch-chunk size used by [`OnlineStage::evaluate`]: how many
+    /// queries share one `serve.query_batch` span.
     pub const EVAL_CHUNK: usize = 32;
 }
 

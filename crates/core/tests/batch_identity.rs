@@ -1,12 +1,11 @@
 //! Batched inference must be bit-identical to sequential inference.
 //!
-//! The batched path stacks `K` encoded queries vertically and runs one
-//! forward pass; every eval-mode op it uses is per-row except `spmm`,
-//! whose blocked variant applies the same adjacency to each row block.
-//! These tests pin the resulting guarantee — per-query scores from
-//! `predict_scores_batch` carry the exact bits of `predict_scores` /
-//! `predict_scores_cached` — across all three models, cached and
-//! uncached, for fixed and property-sampled batch sizes including K=1.
+//! A batch scores each of its `K` encoded queries with the same
+//! per-query forward pass as sequential serving. These tests pin the
+//! resulting guarantee — per-query scores from `predict_scores_batch`
+//! carry the exact bits of `predict_scores` / `predict_scores_cached` —
+//! across all three models, cached and uncached, for fixed and
+//! property-sampled batch sizes including K=1.
 
 use std::sync::Arc;
 

@@ -1,6 +1,6 @@
 //! A minimal JSON reader/writer for the metrics layer.
 //!
-//! Hand-rolled (no serde in this crate) and deliberately small: it only
+//! Hand-rolled (no serialization dependency) and deliberately small: it only
 //! needs to round-trip the JSONL event/snapshot schema this crate emits
 //! and to back the `qdgnn-obs-validate` schema checker. Numbers parse to
 //! `f64`; duplicate object keys keep the last value.

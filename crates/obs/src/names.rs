@@ -70,7 +70,6 @@ pub const METRIC_NAMES: &[&str] = &[
     "tensor.scale",
     "tensor.sigmoid",
     "tensor.spmm",
-    "tensor.spmm_blocked",
     "tensor.sub",
     "tensor.tape_retained_bytes",
     "train.checkpoint_write",

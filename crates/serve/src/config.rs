@@ -5,13 +5,13 @@ use crate::error::ServeError;
 /// Tunables of the batching engine.
 ///
 /// The adaptive batcher drains up to [`ServeConfig::max_batch`] queued
-/// requests into one stacked forward pass, flushing early once the
+/// requests into one `try_query_batch` call, flushing early once the
 /// oldest queued request has waited [`ServeConfig::max_wait_us`] — so an
 /// idle engine answers a lone request within the wait budget, and a busy
-/// engine amortizes one forward across a full batch.
+/// engine drains a full batch per wake-up.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Maximum requests stacked into one forward pass.
+    /// Maximum requests drained into one batch.
     pub max_batch: usize,
     /// Deadline (µs, engine clock) from the oldest queued request's
     /// submission to its batch being flushed. `0` disables batching

@@ -1,5 +1,5 @@
 //! The batching serving engine: a bounded submission queue drained by a
-//! supervised worker pool into stacked forward passes.
+//! supervised worker pool into batched `try_query_batch` calls.
 //!
 //! Life of a request: [`ServeEngine::submit`] stamps it with the engine
 //! clock and enqueues it (rejecting with [`ServeError::QueueFull`] or

@@ -2,10 +2,9 @@
 //! online community-search stage.
 //!
 //! The online stage answers one query with one query-branch forward pass
-//! plus a constrained BFS. Under concurrent load, running those forward
-//! passes one at a time wastes the structure of the model: the per-layer
-//! dense ops are identical across queries and can be stacked into one
-//! matmul. This crate turns that observation into a serving engine:
+//! plus a constrained BFS. Under concurrent load, callers need bounded
+//! queueing, deadlines and overload shedding around those passes. This
+//! crate is that serving engine:
 //!
 //! * [`ServeEngine`] owns an `OnlineStage<'static>` and a pool of worker
 //!   threads;
@@ -14,8 +13,8 @@
 //!   never blocks the submitter;
 //! * workers drain up to [`ServeConfig::max_batch`] requests — flushing
 //!   early once the oldest has waited [`ServeConfig::max_wait_us`] — into
-//!   one stacked `try_query_batch` call, bit-identical per query to the
-//!   sequential path;
+//!   one `try_query_batch` call, which scores each query with the
+//!   sequential forward pass (bit-identical results);
 //! * [`ServeEngine::shutdown`] (or `Drop`) stops admissions and drains
 //!   every accepted request before returning: exactly one reply per
 //!   accepted submission, always.

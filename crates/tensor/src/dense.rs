@@ -454,19 +454,6 @@ impl Dense {
         out
     }
 
-    /// Vertically tiles the matrix `k` times (`out` has `k · rows` rows;
-    /// block `i` is a copy of `self`). Used by batched serving to repeat
-    /// cached graph-branch activations once per query in a batch.
-    pub fn tile_rows(&self, k: usize) -> Dense {
-        assert!(k > 0, "tile_rows repeat count must be positive");
-        let mut out = Dense::zeros(self.rows * k, self.cols);
-        let block = self.rows * self.cols;
-        for chunk in out.data.chunks_mut(block.max(1)) {
-            chunk.copy_from_slice(&self.data);
-        }
-        out
-    }
-
     /// Maximum absolute element (0 for empty).
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
@@ -559,21 +546,6 @@ fn matmul_parallel(a: &Dense, b: &Dense, out: &mut Dense) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tile_rows_repeats_blocks() {
-        let a = Dense::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let t = a.tile_rows(3);
-        assert_eq!(t.shape(), (6, 2));
-        for b in 0..3 {
-            for r in 0..2 {
-                for c in 0..2 {
-                    assert_eq!(t.get(b * 2 + r, c), a.get(r, c));
-                }
-            }
-        }
-        assert!(a.tile_rows(1).approx_eq(&a, 0.0));
-    }
 
     #[test]
     fn row_matmul_into_reproduces_each_product_row() {

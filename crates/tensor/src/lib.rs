@@ -19,7 +19,6 @@
 //! The library is deterministic: all randomness is injected by the caller
 //! through seeded RNGs, and all reductions use a fixed order.
 
-pub mod alloc_tuning;
 pub mod dense;
 pub mod ops;
 pub mod optim;
@@ -40,7 +39,6 @@ macro_rules! sanitize_assert {
     }};
 }
 
-pub use alloc_tuning::tune_for_batch_serving;
 pub use dense::Dense;
 pub use optim::{Adam, AdamConfig, AdamState, Sgd};
 pub use param::{GradStore, ParamId, ParamStore};

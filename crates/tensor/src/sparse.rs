@@ -264,7 +264,7 @@ impl Csr {
     /// entries in column order.
     ///
     /// This is the per-row kernel behind [`Csr::spmm`] (serial and
-    /// threaded) and [`Csr::spmm_blocked`], so a zeroed `out_row` receives
+    /// threaded), so a zeroed `out_row` receives
     /// exactly the bits of the matching output row. `row_of` supplies the
     /// dense operand row by row, which lets row-subset evaluators read
     /// each row from whichever buffer holds it.
@@ -308,71 +308,6 @@ impl Csr {
             }
         })
         .expect("spmm worker thread panicked");
-    }
-
-    /// Block-diagonal sparse × dense product: applies `self` to each of
-    /// `blocks` vertically-stacked row blocks of `d` independently.
-    ///
-    /// `d` must have `blocks · self.cols()` rows; the result has
-    /// `blocks · self.rows()` rows. Block `k` of the output equals
-    /// `self.spmm(block k of d)` bit-for-bit: each output row accumulates
-    /// its products in the same column order as [`Csr::spmm`], so batched
-    /// serving stays bit-identical to the sequential path. Blocks are
-    /// independent and split across threads when the work is large enough.
-    ///
-    /// # Panics
-    /// Panics if `blocks` is zero or `d.rows() != blocks · self.cols()`.
-    pub fn spmm_blocked(&self, d: &Dense, blocks: usize) -> Dense {
-        assert!(blocks > 0, "spmm_blocked: blocks must be positive");
-        assert_eq!(
-            self.cols * blocks,
-            d.rows(),
-            "spmm_blocked shape mismatch: {}x{} over {} blocks * {}x{}",
-            self.rows,
-            self.cols,
-            blocks,
-            d.rows(),
-            d.cols()
-        );
-        let mut out = Dense::zeros(self.rows * blocks, d.cols());
-        if self.rows * d.cols() == 0 {
-            return out;
-        }
-        let work = self.nnz() * d.cols() * blocks;
-        let threads =
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(blocks);
-        if work >= 4_000_000 && threads > 1 {
-            let n = d.cols();
-            let per = blocks.div_ceil(threads);
-            let chunks: Vec<&mut [f32]> =
-                out.as_mut_slice().chunks_mut(per * self.rows * n).collect();
-            crossbeam::thread::scope(|scope| {
-                for (idx, chunk) in chunks.into_iter().enumerate() {
-                    scope.spawn(move |_| {
-                        for (i, block_out) in chunk.chunks_mut(self.rows * n).enumerate() {
-                            self.spmm_block_into(d, idx * per + i, block_out);
-                        }
-                    });
-                }
-            })
-            .expect("spmm_blocked worker thread panicked");
-        } else {
-            let block_len = self.rows * d.cols();
-            for (b, block_out) in out.as_mut_slice().chunks_mut(block_len).enumerate() {
-                self.spmm_block_into(d, b, block_out);
-            }
-        }
-        out
-    }
-
-    /// Serial kernel for one block of [`Csr::spmm_blocked`]; identical
-    /// accumulation order to [`Csr::spmm`]'s per-row kernel.
-    fn spmm_block_into(&self, d: &Dense, block: usize, out_block: &mut [f32]) {
-        let n = d.cols();
-        let row_off = block * self.cols;
-        for r in 0..self.rows {
-            self.spmm_row_into(r, |c| d.row(row_off + c), &mut out_block[r * n..(r + 1) * n]);
-        }
     }
 
     /// Densifies the matrix (testing / small problems only).
@@ -457,39 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn spmm_blocked_matches_per_block_spmm_bitwise() {
-        let m = sample();
-        let blocks = 3;
-        let mut data = Vec::new();
-        for b in 0..blocks {
-            for i in 0..m.cols() * 2 {
-                data.push((b * 7 + i) as f32 * 0.25 - 1.0);
-            }
-        }
-        let d = Dense::from_vec(m.cols() * blocks, 2, data);
-        let out = m.spmm_blocked(&d, blocks);
-        assert_eq!(out.shape(), (m.rows() * blocks, 2));
-        for b in 0..blocks {
-            let mut block = Dense::zeros(m.cols(), 2);
-            for r in 0..m.cols() {
-                for c in 0..2 {
-                    block.set(r, c, d.get(b * m.cols() + r, c));
-                }
-            }
-            let expect = m.spmm(&block);
-            for r in 0..m.rows() {
-                for c in 0..2 {
-                    // Bit-identity, not approximate equality.
-                    assert_eq!(
-                        out.get(b * m.rows() + r, c).to_bits(),
-                        expect.get(r, c).to_bits()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn spmm_row_into_reads_rows_through_the_callback() {
         let m = sample();
         let d = Dense::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0], &[7.0, 8.0]]);
@@ -499,13 +401,6 @@ mod tests {
             m.spmm_row_into(r, |c| d.row(c), &mut row);
             assert_eq!(row.as_slice(), full.row(r));
         }
-    }
-
-    #[test]
-    fn spmm_blocked_single_block_equals_spmm() {
-        let m = sample();
-        let d = Dense::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[2.0, 3.0], &[-1.0, 1.0]]);
-        assert!(m.spmm_blocked(&d, 1).approx_eq(&m.spmm(&d), 0.0));
     }
 
     #[test]

@@ -40,9 +40,6 @@ enum Op {
     /// Sparse–dense product `m · b` where `m` is constant; `mt` is the
     /// precomputed transpose used by the backward pass.
     Spmm { mt: Arc<Csr>, b: usize },
-    /// Block-diagonal sparse–dense product: `m` applied to each of
-    /// `blocks` vertically-stacked row blocks of `b` (batched serving).
-    SpmmBlocked { mt: Arc<Csr>, b: usize, blocks: usize },
     /// Elementwise `a + b`.
     Add { a: usize, b: usize },
     /// Elementwise `a − b`.
@@ -85,7 +82,6 @@ impl Op {
             Op::Leaf => "leaf",
             Op::Matmul { .. } => "matmul",
             Op::Spmm { .. } => "spmm",
-            Op::SpmmBlocked { .. } => "spmm_blocked",
             Op::Add { .. } => "add",
             Op::Sub { .. } => "sub",
             Op::Hadamard { .. } => "hadamard",
@@ -111,7 +107,6 @@ impl Op {
             Op::Leaf => "tensor.leaf.bytes",
             Op::Matmul { .. } => "tensor.matmul.bytes",
             Op::Spmm { .. } => "tensor.spmm.bytes",
-            Op::SpmmBlocked { .. } => "tensor.spmm_blocked.bytes",
             Op::Add { .. } => "tensor.add.bytes",
             Op::Sub { .. } => "tensor.sub.bytes",
             Op::Hadamard { .. } => "tensor.hadamard.bytes",
@@ -255,24 +250,6 @@ impl Tape {
         );
         let v = m.spmm(self.val(b));
         self.push(v, Op::Spmm { mt: Arc::clone(mt), b: b.0 })
-    }
-
-    /// Block-diagonal sparse–dense product: `m` applied independently to
-    /// each of `blocks` vertically-stacked row blocks of `b`. Equivalent
-    /// to (and bit-identical with) `blocks` separate [`Tape::spmm`] calls
-    /// on the stacked blocks; one tape node instead of `blocks`.
-    pub fn spmm_blocked(&mut self, m: &Arc<Csr>, mt: &Arc<Csr>, b: Var, blocks: usize) -> Var {
-        let _t = qdgnn_obs::op_timer("tensor.spmm_blocked");
-        crate::sanitize_assert!(
-            m.rows() == mt.cols() && m.cols() == mt.rows(),
-            "spmm_blocked: mt ({}x{}) is not the transpose of m ({}x{})",
-            mt.rows(),
-            mt.cols(),
-            m.rows(),
-            m.cols()
-        );
-        let v = m.spmm_blocked(self.val(b), blocks);
-        self.push(v, Op::SpmmBlocked { mt: Arc::clone(mt), b: b.0, blocks })
     }
 
     /// Elementwise sum.
@@ -427,12 +404,6 @@ impl Tape {
                 }
                 Op::Spmm { mt, b } => {
                     let db = mt.spmm(&g);
-                    accumulate(&mut grads, *b, db);
-                }
-                Op::SpmmBlocked { mt, b, blocks } => {
-                    // Each block routes through Mᵀ independently, so the
-                    // backward pass is the same blocked product with `mt`.
-                    let db = mt.spmm_blocked(&g, *blocks);
                     accumulate(&mut grads, *b, db);
                 }
                 Op::Add { a, b } => {
